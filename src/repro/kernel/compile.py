@@ -35,6 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.model.request import RequestKind
 from repro.model.schedule import Schedule
 from repro.types import (
     ProcessorId,
@@ -129,25 +130,34 @@ def compile_batch(
     """
     if not schedules:
         raise ConfigurationError("cannot compile an empty batch")
+    issuers = [
+        [request.processor for request in schedule.requests]
+        for schedule in schedules
+    ]
     universe = processor_universe(
-        extra_processors, *(schedule.processors for schedule in schedules)
+        extra_processors, *(set(row) for row in issuers)
     )
     if len(universe) > MAX_UNIVERSE:
         raise ConfigurationError(
             f"compiled universe has {len(universe)} processors; the kernel "
             f"is limited to {MAX_UNIVERSE}"
         )
-    index_of = {processor: index for index, processor in enumerate(universe)}
     batch = len(schedules)
     horizon = max(len(schedule) for schedule in schedules)
     procs = np.zeros((batch, horizon), dtype=np.int32)
     is_write = np.zeros((batch, horizon), dtype=bool)
     lengths = np.zeros(batch, dtype=np.int64)
-    for row, schedule in enumerate(schedules):
-        lengths[row] = len(schedule)
-        for column, request in enumerate(schedule.requests):
-            procs[row, column] = index_of[request.processor]
-            is_write[row, column] = request.is_write
+    # One slice assignment per row: filling element by element would
+    # cost a numpy scalar store per request.  The universe is sorted,
+    # so a processor's bit index is its position in it.
+    bit_of = np.asarray(universe)
+    write = RequestKind.WRITE
+    for row, (schedule, processors) in enumerate(zip(schedules, issuers)):
+        lengths[row] = len(processors)
+        procs[row, : len(processors)] = np.searchsorted(bit_of, processors)
+        is_write[row, : len(processors)] = [
+            request.kind is write for request in schedule.requests
+        ]
     procs.setflags(write=False)
     is_write.setflags(write=False)
     lengths.setflags(write=False)

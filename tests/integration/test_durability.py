@@ -69,6 +69,32 @@ async def booted(
 
 
 class TestFreshRejoin:
+    def test_lone_core_member_is_vouched_for_by_the_writer(self, tmp_path):
+        # t = 2: F = {1}, primary 2.  A write by outsider 3 invalidates
+        # the primary, so the only other valid copy is the writer's.
+        async def scenario():
+            cluster, client = await booted(tmp_path)
+            try:
+                write = await client.execute(
+                    3, "write", rid=1, version=ObjectVersion(1, 3)
+                )
+                assert write.ok
+                await cluster.crash(1)
+                before = await cluster.aggregate_stats()
+                reply = await cluster.recover(1)
+                after = await cluster.aggregate_stats()
+                assert reply["tier"] == "log-fresh"
+                assert reply["probe_peer"] == 3
+                assert reply["peer_version"] == 1
+                assert after.data_messages == before.data_messages
+                read = await client.execute(1, "read", rid=2)
+                assert read.ok and read.version.number == 1
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
     def test_fresh_log_rejoins_with_zero_data_messages(self, tmp_path):
         async def scenario():
             cluster, client = await booted(tmp_path)
