@@ -2,8 +2,9 @@
 
 The third realization of the paper's algorithms, after the stepped
 analytic model (:mod:`repro.core`) and the discrete-event simulator
-(:mod:`repro.distsim`): real asyncio nodes, real length-prefixed JSON
-frames on real TCP or Unix-domain sockets, per-node metrics that map
+(:mod:`repro.distsim`): real asyncio nodes, real length-prefixed frames
+(fixed binary records on the request path, JSON for everything else)
+on real TCP or Unix-domain sockets, per-node metrics that map
 1:1 onto the paper's ``c_c``/``c_d``/I-O accounting.  The headline
 invariant — asserted end-to-end in ``tests/integration`` — is that a
 replayed trace produces *bit-identical* message and I/O totals across

@@ -136,9 +136,10 @@ class ClusterHandle:
     # -- raw admin calls ---------------------------------------------------
 
     async def admin(self, node_id: int, payload: Mapping[str, Any]) -> Dict:
-        """One admin request/response round trip with a node.  Admin
-        calls to one node never overlap and replies carry no ``rid``,
-        so each call awaits the reply filed under rid 0."""
+        """One admin request/response round trip with a node.  Replies
+        carry no ``rid``, so each call awaits the reply filed under rid
+        0; a call made while another to the same node is still waiting
+        raises :class:`ClusterError` rather than take its reply."""
         try:
             reply = await self._admin.request(node_id, payload)
         except (ConnectionError, OSError) as error:

@@ -126,8 +126,12 @@ class ClusterClient:
     ) -> Dict[str, object]:
         """Send one frame to a node and await its reply, the frame with
         the same ``rid``; past ``timeout`` seconds the wait raises
-        :class:`asyncio.TimeoutError`."""
+        :class:`asyncio.TimeoutError`.  A reply names only its ``rid``,
+        so a second request under a ``rid`` already waiting on this
+        node's connection raises :class:`ClusterError` at once."""
         conn, replies = await self._links.get(node_id)
+        if rid in replies:
+            raise ClusterError(f"request {rid} is already waiting on node {node_id}")
         loop = asyncio.get_running_loop()
         reply = replies[rid] = loop.create_future()
         deadline = (
@@ -142,7 +146,8 @@ class ClusterClient:
         finally:
             if deadline is not None:
                 deadline.cancel()
-            replies.pop(rid, None)
+            if replies.get(rid) is reply:
+                del replies[rid]
 
     async def execute(
         self,

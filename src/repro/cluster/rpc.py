@@ -1,11 +1,20 @@
-"""Wire format of the live cluster: length-prefixed JSON frames.
+"""Wire format of the live cluster: length-prefixed frames, each a
+fixed-layout binary record or a JSON object.
 
 Every frame on a cluster connection — client requests, peer protocol
-messages, completion notifications, admin commands — is one JSON object
-encoded as UTF-8 and prefixed with a 4-byte big-endian length.  The
-framing is deliberately tiny: it can be reimplemented in a dozen lines
-of any language, and a captured byte stream is human-decodable with
-``struct`` + ``json`` alone.
+messages, completion notifications, admin commands — is a body
+prefixed with its 4-byte big-endian length.  The frames a request
+sends have fixed shapes (the paper's "short" control messages: object
+id and operation only), so each of those ships as a ``struct`` record:
+one tag byte in ``0x01``–``0x08`` naming its layout, then its fields,
+big-endian (the layout table is ``_TEMPLATES`` below).  Every other
+frame — admin, repair and recover frames, error results, versions that
+carry a payload — is a UTF-8 JSON object with sorted keys.  A JSON body
+starts with ``{`` or JSON whitespace, never a tag byte, so the first
+byte tells the two apart and JSON from an older peer still decodes.
+The framing is deliberately tiny: it can be reimplemented in a few
+dozen lines of any language, and a captured byte stream is
+human-decodable with ``struct`` + ``json`` alone.
 
 Frame families (the ``type`` field):
 
@@ -42,7 +51,7 @@ import collections.abc
 import contextvars
 import json
 import struct
-from typing import Any, Coroutine, Dict, Mapping, Optional
+from typing import Any, Callable, Coroutine, Dict, List, Mapping, Optional, Tuple
 
 from repro.distsim.messages import (
     Ack,
@@ -64,11 +73,94 @@ _HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 
+# -- binary layouts --------------------------------------------------------
+
+# The request path's frames have fixed shapes, so each ships as one
+# ``struct`` record: a tag byte, then its fields in template order,
+# big-endian.  In a template, a string is a constant, not sent; ``int``
+# is a signed 64-bit ``q`` and ``bool`` a ``?``, each of exactly that
+# type; a tuple of strings is one of them, sent as its ``B`` index; a
+# dict nests.  Any other frame — an extra or missing key, a version
+# with a payload, an int past 64 bits, ``1`` for ``True`` — is JSON,
+# whose first byte (``{`` or JSON whitespace) is never a tag.
+_VERSION = {"number": int, "writer": int}
+_MSG = {"type": "msg", "sender": int, "receiver": int, "rid": int}
+_TEMPLATES = {
+    0x01: {"type": "exec", "rid": int, "op": "read"},
+    0x02: {"type": "exec", "rid": int, "op": "write", "version": _VERSION},
+    0x03: {"type": "result", "rid": int, "ok": bool, "version": _VERSION},
+    0x04: {**_MSG, "kind": ("read_request", "version_inquiry", "ack")},
+    0x05: {**_MSG, "kind": "invalidate", "version_number": int},
+    0x06: {**_MSG, "kind": "version_report", "version_number": int, "holds_copy": bool},
+    0x07: {**_MSG, "kind": "data_transfer", "version": _VERSION, "save_copy": bool},
+    0x08: {"type": "done", "rid": int, "from": int, "dropped": bool},
+}
+
+
+def _compile(
+    tag: int, template: Mapping[str, Any]
+) -> Tuple[Callable, struct.Struct, Callable]:
+    """Generate one layout's codec from its template: the straight-line
+    code a hand-written branch would be, while the table stays the one
+    place a layout is spelled out.
+
+    Returns the encoder, which gives the whole frame, or ``False``
+    unless the payload has the template's shape (a missing nested key
+    raises ``KeyError``, an int beyond 64 bits ``struct.error``); the
+    record's ``struct``, after its tag byte; and the decoder, from the
+    record's values to the frame."""
+    codes: List[str] = []
+    tests: List[str] = []
+    reads: List[str] = []
+
+    def shape(template: Mapping[str, Any], at: str) -> str:
+        # The same size, and every key is read below: the same keys.
+        tests.append(f"type({at}) is dict and len({at}) == {len(template)}")
+        items = []
+        for key, want in template.items():
+            item, value = f"{at}[{key!r}]", f"v[{len(codes)}]"
+            if isinstance(want, dict):
+                value = shape(want, item)
+            elif isinstance(want, str):
+                tests.append(f"{item} == {want!r}")
+                value = repr(want)
+            elif isinstance(want, tuple):
+                tests.append(f"type({item}) is str and {item} in {want!r}")
+                reads.append(f"{want!r}.index({item})")
+                codes.append("B")
+                value = f"{want!r}[{value}]"
+            else:
+                tests.append(f"type({item}) is {want.__name__}")
+                reads.append(item)
+                codes.append("q" if want is int else "?")
+            items.append(f"{key!r}: {value}")
+        return "{" + ", ".join(items) + "}"
+
+    frame = shape(template, "p")
+    fields = struct.Struct(">" + "".join(codes))
+    pack = f"record.pack({fields.size + 1}, {tag}, {', '.join(reads)})"
+    scope = {"record": struct.Struct(">IB" + "".join(codes))}
+    encode = eval(f"lambda p: {' and '.join(tests)} and {pack}", scope)
+    return encode, fields, eval(f"lambda v: {frame}", scope)
+
+
+_LAYOUTS = {tag: _compile(tag, template) for tag, template in _TEMPLATES.items()}
+_ENCODERS = {frozenset(_TEMPLATES[tag]): codec[0] for tag, codec in _LAYOUTS.items()}
+
+
 # -- framing ---------------------------------------------------------------
 
 
 def encode_frame(payload: Mapping[str, Any]) -> bytes:
-    """Serialize one frame: 4-byte length prefix + UTF-8 JSON."""
+    """Serialize one frame: 4-byte length prefix, then the body — the
+    binary record of the layout whose shape ``payload`` has exactly, or
+    else UTF-8 JSON with sorted keys."""
+    encode = _ENCODERS.get(frozenset(payload))
+    try:
+        if encode is not None and (record := encode(payload)):
+            return record
+    except (KeyError, struct.error):
+        pass  # a nested key missing or an int beyond 64 bits: JSON it is
     body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
     data = body.encode("utf-8")
     if len(data) > MAX_FRAME_BYTES:
@@ -88,10 +180,27 @@ def _body_length(header, offset: int = 0) -> int:
     return length
 
 
-def decode_frame(body: bytes) -> Dict[str, Any]:
-    """Parse one frame body (the bytes after the length prefix)."""
+def decode_frame(
+    body: bytes, start: int = 0, end: Optional[int] = None
+) -> Dict[str, Any]:
+    """Parse one frame body, ``body[start:end]`` (the bytes after the
+    length prefix): a binary record if it opens with a layout's tag,
+    read in place, else JSON."""
+    end = len(body) if end is None else end
+    layout = _LAYOUTS.get(body[start]) if end > start else None
+    if layout is not None:
+        _, fields, decode = layout
+        if end - start != fields.size + 1:
+            raise ClusterError(
+                f"malformed frame body: {end - start} bytes for a "
+                f"{body[start]:#04x} record of {fields.size + 1}"
+            )
+        try:
+            return decode(fields.unpack_from(body, start + 1))
+        except IndexError as error:  # a choice index past the end
+            raise ClusterError(f"malformed frame body: {error}") from error
     try:
-        payload = json.loads(str(body, "utf-8"))
+        payload = json.loads(str(body[start:end], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ClusterError(f"malformed frame body: {error}") from error
     if not isinstance(payload, dict) or "type" not in payload:
@@ -164,7 +273,7 @@ class FrameProtocol(asyncio.Protocol):
                 end = offset + _HEADER.size + _body_length(buffer, offset)
                 if end > len(buffer):
                     break
-                frame = decode_frame(buffer[offset + _HEADER.size : end])
+                frame = decode_frame(buffer, offset + _HEADER.size, end)
             except ClusterError as error:
                 self.error = error
                 self.close()
@@ -332,34 +441,14 @@ def wire_to_message(wire: Mapping[str, Any]) -> Message:
     cls = _KIND_TO_CLASS.get(kind)
     if cls is None:
         raise ClusterError(f"unknown protocol message kind {kind!r}")
-    sender = int(wire["sender"])
-    receiver = int(wire["receiver"])
-    rid = int(wire.get("rid", 0))
-    if cls is ReadRequest:
-        return ReadRequest(sender, receiver, request_id=rid)
-    if cls is Invalidate:
-        return Invalidate(
-            sender,
-            receiver,
-            version_number=int(wire.get("version_number", -1)),
-            request_id=rid,
-        )
-    if cls is Ack:
-        return Ack(sender, receiver, request_id=rid, info=wire.get("info"))
-    if cls is VersionInquiry:
-        return VersionInquiry(sender, receiver, request_id=rid)
+    fields: Dict[str, Any] = {"request_id": int(wire.get("rid", 0))}
+    if cls is Invalidate or cls is VersionReport:
+        fields["version_number"] = int(wire.get("version_number", -1))
     if cls is VersionReport:
-        return VersionReport(
-            sender,
-            receiver,
-            request_id=rid,
-            version_number=int(wire.get("version_number", -1)),
-            holds_copy=bool(wire.get("holds_copy", False)),
-        )
-    return DataTransfer(
-        sender,
-        receiver,
-        version=version_from_wire(wire.get("version")),
-        request_id=rid,
-        save_copy=bool(wire.get("save_copy", False)),
-    )
+        fields["holds_copy"] = bool(wire.get("holds_copy", False))
+    elif cls is DataTransfer:
+        fields["version"] = version_from_wire(wire.get("version"))
+        fields["save_copy"] = bool(wire.get("save_copy", False))
+    elif cls is Ack:
+        fields["info"] = wire.get("info")
+    return cls(int(wire["sender"]), int(wire["receiver"]), **fields)

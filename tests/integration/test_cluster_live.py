@@ -23,6 +23,7 @@ from repro.cluster import (
     start_cluster,
     start_local_cluster,
 )
+from repro.cluster.transport import _resolve
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.exceptions import ClusterError
 from repro.storage.versions import ObjectVersion
@@ -220,6 +221,34 @@ class TestClientConnections:
         assert accepted == 1
         assert not [r for r in caplog.records if "destroyed" in r.getMessage()]
 
+    def test_a_finished_request_leaves_a_new_waiter_on_its_rid_alone(self):
+        # A reply pops its waiter in the socket callback, and the waiting
+        # request cleans up only when its task next runs.  A request for
+        # the same rid that runs in between must keep its own waiter.
+        async def scenario():
+            cluster, client = await booted()
+            try:
+                conn, replies = await client._links.get(1)
+                # Pings are answered under rid 0, so rid 99 waits until
+                # resolved by hand.
+                first = asyncio.ensure_future(
+                    client.request(1, {"type": "ping"}, rid=99)
+                )
+                await asyncio.sleep(0)
+                second = asyncio.ensure_future(
+                    client.request(1, {"type": "ping"}, rid=99)
+                )
+                _resolve(replies, {"type": "pong", "rid": 99}, conn)
+                assert (await first)["rid"] == 99
+                assert 99 in replies and not second.done()
+                _resolve(replies, {"type": "pong", "rid": 99}, conn)
+                assert (await asyncio.wait_for(second, 2.0))["rid"] == 99
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
     def test_lost_connection_fails_only_its_own_callers(self):
         async def scenario():
             cluster, client = await booted()
@@ -369,6 +398,33 @@ class TestAdminPlane:
                 assert fresh.requests_completed == 1
                 assert fresh.control_messages == 1
                 assert fresh.data_messages == 1
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_overlapping_admin_calls_never_orphan_a_caller(self):
+        # Admin replies carry no rid, so two calls in flight to one node
+        # both wait under rid 0: the later one must fail at once, not
+        # take the earlier one's reply slot and leave it waiting forever.
+        async def scenario():
+            cluster, client = await booted()
+            try:
+                calls = [
+                    asyncio.ensure_future(cluster.admin(1, {"type": "ping"}))
+                    for _ in range(2)
+                ]
+                done, pending = await asyncio.wait(calls, timeout=2.0)
+                for call in pending:
+                    call.cancel()
+                assert not pending
+                errors = [call.exception() for call in done if call.exception()]
+                assert all(isinstance(error, ClusterError) for error in errors)
+                pongs = [call.result() for call in done if not call.exception()]
+                assert [pong["type"] for pong in pongs] == ["pong"]
+                # The slot is free again once the first call is answered.
+                assert (await cluster.admin(1, {"type": "ping"}))["type"] == "pong"
             finally:
                 await client.close()
                 await cluster.stop()

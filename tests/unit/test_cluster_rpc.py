@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import json
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.metrics import NodeMetrics
 from repro.cluster.rpc import (
     MAX_FRAME_BYTES,
     FrameProtocol,
+    decode_frame,
     encode_frame,
     message_to_wire,
     read_frame,
@@ -255,6 +259,228 @@ class TestFrameProtocol:
             return arrived, len(accepted)
 
         assert asyncio.run(go()) == (["done", "msg"], 1)
+
+
+VERSION_3_2 = {"number": 3, "writer": 2}
+#: One frame of each binary layout, by tag, with its pinned wire bytes:
+#: length prefix, tag byte, then the fields (big-endian ``q``/``?``/``B``).
+GOLDEN = [
+    ({"type": "exec", "rid": 7, "op": "read"}, "00000009" "01" "0000000000000007"),
+    (
+        {"type": "exec", "rid": 7, "op": "write", "version": VERSION_3_2},
+        "00000019" "02" "0000000000000007" "0000000000000003" "0000000000000002",
+    ),
+    (
+        {"type": "result", "rid": 7, "ok": True, "version": VERSION_3_2},
+        "0000001a" "03" "0000000000000007" "01" "0000000000000003" "0000000000000002",
+    ),
+    (
+        message_to_wire(VersionInquiry(1, 2, request_id=7)),
+        "0000001a" "04" "0000000000000001" "0000000000000002" "0000000000000007" "01",
+    ),
+    (
+        message_to_wire(Invalidate(1, 2, version_number=3, request_id=7)),
+        "00000021" "05" "0000000000000001" "0000000000000002" "0000000000000007"
+        "0000000000000003",
+    ),
+    (
+        message_to_wire(
+            VersionReport(2, 1, request_id=7, version_number=3, holds_copy=True)
+        ),
+        "00000022" "06" "0000000000000002" "0000000000000001" "0000000000000007"
+        "0000000000000003" "01",
+    ),
+    (
+        message_to_wire(
+            DataTransfer(
+                1, 2, version=ObjectVersion(3, 1), request_id=7, save_copy=True
+            )
+        ),
+        "0000002a" "07" "0000000000000001" "0000000000000002" "0000000000000007"
+        "0000000000000003" "0000000000000001" "01",
+    ),
+    (
+        {"type": "done", "rid": 7, "from": 2, "dropped": False},
+        "00000012" "08" "0000000000000007" "0000000000000002" "00",
+    ),
+]
+
+
+def typed(value):
+    """``value`` with every leaf paired with its type, so equality also
+    tells ``True`` from ``1``."""
+    if isinstance(value, dict):
+        return {key: typed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [typed(item) for item in value]
+    return (type(value), value)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+#: Ints at and just past the signed 64-bit edges, and flags given as ints.
+EDGES = [0, -1, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1]
+INTS = st.integers() | st.sampled_from(EDGES)
+FLAGS = st.booleans() | st.sampled_from([0, 1])
+OPS = st.sampled_from(["read", "write"])
+VERSIONS = st.fixed_dictionaries(
+    {"number": INTS, "writer": INTS}, optional={"payload": JSON_VALUES}
+)
+
+
+def msg_frames(kind, **fields):
+    return st.fixed_dictionaries(
+        {
+            "type": st.just("msg"),
+            "kind": st.just(kind),
+            "sender": INTS,
+            "receiver": INTS,
+            "rid": INTS,
+            **fields,
+        }
+    )
+
+
+#: Each layout's shape, with edge values, and near misses of it.
+HOT_FRAMES = st.one_of(
+    st.fixed_dictionaries(
+        {"type": st.just("exec"), "rid": INTS, "op": OPS},
+        optional={"version": VERSIONS},
+    ),
+    st.fixed_dictionaries(
+        {"type": st.just("exec"), "rid": INTS, "op": OPS, "version": VERSIONS}
+    ),
+    st.fixed_dictionaries(
+        {"type": st.just("result"), "rid": INTS, "ok": FLAGS, "version": VERSIONS}
+    ),
+    st.fixed_dictionaries(
+        {"type": st.just("result"), "rid": INTS, "ok": FLAGS},
+        optional={"version": st.none(), "error": st.text(max_size=8)},
+    ),
+    msg_frames("read_request"),
+    msg_frames("version_inquiry"),
+    msg_frames("ack"),
+    msg_frames("ack", info=JSON_VALUES),
+    msg_frames("invalidate", version_number=INTS),
+    msg_frames("version_report", version_number=INTS, holds_copy=FLAGS),
+    msg_frames("data_transfer", version=VERSIONS, save_copy=FLAGS),
+    msg_frames("gossip"),
+    st.fixed_dictionaries(
+        {"type": st.just("done"), "rid": INTS, "from": INTS, "dropped": FLAGS},
+        optional={"failed": st.just(True)},
+    ),
+)
+FRAMES = st.one_of(
+    HOT_FRAMES,
+    # A hot shape with one key too many.
+    st.builds(
+        lambda frame, key, value: {**frame, key: value},
+        HOT_FRAMES,
+        st.text(max_size=8),
+        JSON_VALUES,
+    ),
+    st.builds(
+        lambda frame, kind: {**frame, "type": kind},
+        st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=4),
+        st.text(max_size=8),
+    ),
+)
+
+
+class TestBinaryLayouts:
+    @settings(max_examples=400, deadline=None)
+    @given(FRAMES)
+    def test_decodes_to_what_json_would(self, frame):
+        data = encode_frame(frame)
+        assert struct.unpack(">I", data[:4])[0] == len(data) - 4
+        assert typed(decode_frame(data[4:])) == typed(json.loads(json.dumps(frame)))
+
+    @pytest.mark.parametrize("frame, wire", GOLDEN, ids=[w[8:10] for _, w in GOLDEN])
+    def test_golden_bytes(self, frame, wire):
+        data = encode_frame(frame)
+        assert data.hex() == wire
+        assert decode_frame(data[4:]) == frame
+
+    @pytest.mark.parametrize("frame, _", GOLDEN)
+    def test_json_from_an_older_peer_still_decodes(self, frame, _):
+        body = json.dumps(frame, separators=(",", ":"), sort_keys=True).encode()
+        assert decode_frame(body) == frame
+
+    @pytest.mark.parametrize(
+        "rid, binary",
+        [(2**63 - 1, True), (-(2**63), True), (2**63, False), (-(2**63) - 1, False)],
+    )
+    def test_ints_past_64_bits_fall_back_to_json(self, rid, binary):
+        frame = {"type": "done", "rid": rid, "from": 2, "dropped": False}
+        data = encode_frame(frame)
+        assert data[4:5] == (b"\x08" if binary else b"{")
+        assert typed(decode_frame(data[4:])) == typed(frame)
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            # Ints where a layout wants a real bool.
+            {"type": "done", "rid": 7, "from": 2, "dropped": 0},
+            {"type": "result", "rid": 7, "ok": 1, "version": VERSION_3_2},
+            {**GOLDEN[5][0], "holds_copy": 1},
+            {**GOLDEN[6][0], "save_copy": 0},
+            # Shapes no layout has.
+            message_to_wire(Ack(1, 2, request_id=4, info="joined")),
+            {"type": "result", "rid": 7, "ok": False, "error": "boom"},
+            {"type": "done", "rid": 7, "from": 2, "dropped": False, "failed": True},
+            {
+                "type": "exec",
+                "rid": 7,
+                "op": "write",
+                "version": {**VERSION_3_2, "payload": "x"},
+            },
+            {"type": "exec", "rid": 7, "op": "erase"},
+            {"type": "exec", "rid": 7.0, "op": "read"},
+            {"type": "ping"},
+        ],
+    )
+    def test_off_table_frames_stay_json(self, frame):
+        data = encode_frame(frame)
+        assert data[4:5] == b"{"
+        assert typed(decode_frame(data[4:])) == typed(frame)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.binary(max_size=48))
+    def test_any_bytes_after_a_tag_decode_or_close(self, tag, tail):
+        body = bytes([tag]) + tail
+        seen, conn, reported = feed([struct.pack(">I", len(body)) + body])
+        if conn.transport.closed:
+            assert seen == [] and "malformed frame body" in str(conn.error)
+            with pytest.raises(ClusterError, match="malformed frame body"):
+                decode_frame(body)
+        else:
+            assert len(seen) == 1 and isinstance(seen[0], dict)
+            assert decode_frame(body) == seen[0]
+        assert reported == []
+
+    @pytest.mark.parametrize("frame, wire", GOLDEN)
+    def test_truncated_records_close_the_connection(self, frame, wire):
+        body = bytes.fromhex(wire)[4:]
+        for cut in (1, len(body) - 1):
+            short = body[:cut]
+            seen, conn, _ = feed([struct.pack(">I", len(short)) + short])
+            assert seen == [] and conn.transport.closed
+            assert "malformed frame body" in str(conn.error)
+
+    def test_binary_frames_fed_one_byte_at_a_time(self):
+        data = b"".join(bytes.fromhex(wire) for _, wire in GOLDEN)
+        data += encode_frame({"type": "ping"})
+        seen, conn, _ = feed([data[i : i + 1] for i in range(len(data))])
+        assert seen == [frame for frame, _ in GOLDEN] + [{"type": "ping"}]
+        assert not conn.transport.closed
 
 
 class TestRunEagerly:
